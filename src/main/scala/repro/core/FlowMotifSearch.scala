@@ -10,7 +10,7 @@ import org.apache.spark.sql.functions._
 final case class MatchRow(vs: Seq[Long], series: Seq[Seq[TF]])
 
 /** A flow motif instance as a Spark row: the vertex mapping, its flow
-  * (Equation 1), its temporal extent, and (optionally) its edge-sets.
+  * (Equation 1), its temporal extent, and its edge-sets.
   */
 final case class InstanceRow(
     vs: Seq[Long],
@@ -46,24 +46,20 @@ object FlowMotifSearch {
 
   /** All maximal instances of `(motif, δ, φ)` in the interaction network.
     *
-    * @param edges          interaction multigraph: (src, dst, t, f)
-    * @param materializeSets when false, `sets` is left empty in the output to
-    *                        avoid shuffling edge-set payloads in count-only runs
+    * @param edges interaction multigraph: (src, dst, t, f)
     */
   def instances(
       spark: SparkSession,
       edges: DataFrame,
       motif: Motif,
       delta: Long,
-      phi: Double,
-      materializeSets: Boolean = true
+      phi: Double
   ): Dataset[InstanceRow] = {
     import spark.implicits._
     matchRows(spark, edges, motif).flatMap { mr =>
       val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
       LocalEnumerator.enumerate(series, delta, phi).map { inst =>
-        InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd,
-          if (materializeSets) inst.sets else Seq.empty)
+        InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
       }
     }
   }

@@ -1,9 +1,10 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Phase P2 of the paper's two-phase algorithm (Algorithm 1): enumerate the
-  * maximal flow-motif instances inside one structural match.
+  * maximal flow-motif instances inside one structural match. This object is
+  * the one P2 core: a window iterator ([[windows]]) and a prefix recursion
+  * ([[search]]) that count, enumerate, top-k ([[TopKEnumerator]]) and the DP
+  * top-1 ([[MaxFlowDP]], windows only) share.
   *
   * Windows are anchored at each timestamp of `R(e_1)`: `T = [t_s, t_s + δ]`.
   * A window is *skipped* when it contains no `R(e_m)` element later than the
@@ -34,10 +35,24 @@ import scala.collection.mutable.ArrayBuffer
   * if `e_i`'s next element is after the window end, or some `R(e_{i+1})`
   * element lies strictly between `x` and that next element (otherwise the
   * next element could be added — the paper's "no instance contains just the
-  * first two elements of e_1" remark for Figure 7). The φ check on every
-  * prefix prunes the search space exactly as in Algorithm 1 line 16.
+  * first two elements of e_1" remark for Figure 7). Every prefix is then
+  * offered to the sink's threshold test, which prunes the search space
+  * exactly as in Algorithm 1 line 16 (fixed φ) or Section 5 (floating
+  * `f(G_I^k)`).
   */
 object LocalEnumerator {
+
+  /** What the recursion asks of its caller. A prefix or instance is described
+    * by index ranges: edge-set i is `series(i)` from `starts(i)` (inclusive)
+    * to `ends(i)` (exclusive).
+    */
+  private[core] trait Sink {
+    /** Whether a prefix whose flow is capped at `f` is still admissible. */
+    def admits(f: Double): Boolean
+
+    /** A finished instance of flow `f`; the arrays are reused after return. */
+    def emit(starts: Array[Int], ends: Array[Int], f: Double): Unit
+  }
 
   /** Enumerate all maximal instances of an m-edge motif over `series`, where
     * `series(i)` is the interaction series mapped to motif edge label i+1.
@@ -47,82 +62,93 @@ object LocalEnumerator {
       delta: Long,
       phi: Double
   ): Vector[LocalInstance] = {
+    val series = Series.normalize(seriesIn)
     val out = Vector.newBuilder[LocalInstance]
-    run(seriesIn, delta, phi)(inst => out += inst)
+    search(series, delta, new Sink {
+      def admits(f: Double): Boolean = f >= phi
+      def emit(starts: Array[Int], ends: Array[Int], f: Double): Unit = out += instance(series, starts, ends)
+    })
     out.result()
   }
 
   /** Count instances without materializing them. */
   def count(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
     var n = 0L
-    run(seriesIn, delta, phi)(_ => n += 1)
+    search(Series.normalize(seriesIn), delta, new Sink {
+      def admits(f: Double): Boolean = f >= phi
+      def emit(starts: Array[Int], ends: Array[Int], f: Double): Unit = n += 1
+    })
     n
   }
 
-  /** Core driver: invoke `emit` for every maximal instance satisfying δ, φ. */
-  def run(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
-      delta: Long,
-      phi: Double
-  )(emit: LocalInstance => Unit): Unit = {
+  /** The instance whose edge-sets are the given index ranges of `series`. */
+  private[core] def instance(
+      series: IndexedSeq[IndexedSeq[TF]],
+      starts: Array[Int],
+      ends: Array[Int]
+  ): LocalInstance =
+    LocalInstance(Vector.tabulate(series.length)(i => series(i).slice(starts(i), ends(i)).toVector))
+
+  /** Visit every non-skipped window of sorted `series` as (index of its
+    * anchoring `R(e_1)` element, window end).
+    */
+  private[core] def windows(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(visit: (Int, Long) => Unit): Unit = {
     require(delta >= 0, "delta must be non-negative")
-    val series = Series.normalize(seriesIn)
+    if (series.isEmpty || series.exists(_.isEmpty)) return
+    val e1 = series.head
+    val em = series.last
+    var prevEnd = Long.MinValue
+    var a = 0
+    while (a < e1.length) {
+      val we = e1(a).t + delta
+      // Skip rule: no R(e_m) element in (prevEnd, we] => only non-maximal instances.
+      val lo = Series.upperBound(em, prevEnd)
+      if (lo < em.length && em(lo).t <= we) {
+        visit(a, we)
+        prevEnd = we
+      }
+      a += 1
+    }
+  }
+
+  /** Hand every maximal instance of sorted `series` that `sink` admits to it.
+    * A prefix's flow is the running minimum of its edge-set flow sums.
+    */
+  private[core] def search(series: IndexedSeq[IndexedSeq[TF]], delta: Long, sink: Sink): Unit = {
     val m = series.length
-    if (m == 0 || series.exists(_.isEmpty)) return
-    val e1 = series(0)
-    val em = series(m - 1)
+    val starts = new Array[Int](m)
+    val ends = new Array[Int](m)
 
-    val chosen = new Array[Vector[TF]](m)
-
-    def rec(ei: Int, startIdx: Int, windowEnd: Long): Unit = {
+    def rec(ei: Int, from: Int, windowEnd: Long, cap: Double): Unit = {
       val s = series(ei)
-      if (startIdx >= s.length || s(startIdx).t > windowEnd) return // empty edge-set
+      if (from >= s.length || s(from).t > windowEnd) return // empty edge-set
+      starts(ei) = from
+      var k = from
+      var fsum = 0.0
       if (ei == m - 1) {
         // Last edge: take everything up to the window end (maximal by construction).
-        var j = startIdx
-        var fsum = 0.0
-        val buf = new ArrayBuffer[TF]()
-        while (j < s.length && s(j).t <= windowEnd) { fsum += s(j).f; buf += s(j); j += 1 }
-        if (fsum >= phi) {
-          chosen(ei) = buf.toVector
-          emit(LocalInstance(chosen.toVector))
-        }
+        while (k < s.length && s(k).t <= windowEnd) { fsum += s(k).f; k += 1 }
+        val f = math.min(cap, fsum)
+        if (sink.admits(f)) { ends(ei) = k; sink.emit(starts, ends, f) }
       } else {
         val next = series(ei + 1)
-        var k = startIdx
-        var fsum = 0.0
-        val buf = new ArrayBuffer[TF]()
         while (k < s.length && s(k).t <= windowEnd) {
           fsum += s(k).f
-          buf += s(k)
-          val tk = s(k).t
-          val nIdx = Series.upperBound(next, tk) // forced start of E_{i+1}
+          val nIdx = Series.upperBound(next, s(k).t) // forced start of E_{i+1}
           val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
           val ownNextT = if (k + 1 < s.length) s(k + 1).t else Long.MaxValue
           // Maximal cut: e_i's next element must not be addable to this prefix.
           val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
-          if (maximalCut && fsum >= phi) { // φ prefix pruning (Algorithm 1 line 16)
-            chosen(ei) = buf.toVector
-            rec(ei + 1, nIdx, windowEnd)
+          val f = math.min(cap, fsum)
+          if (maximalCut && sink.admits(f)) {
+            ends(ei) = k + 1
+            rec(ei + 1, nIdx, windowEnd, f)
           }
           k += 1
         }
       }
     }
 
-    var prevEnd = Long.MinValue
-    var a = 0
-    while (a < e1.length) {
-      val ts = e1(a).t
-      val we = ts + delta
-      // Skip rule: no R(e_m) element in (prevEnd, we] => only non-maximal instances.
-      val lo = Series.upperBound(em, prevEnd)
-      val hasNew = lo < em.length && em(lo).t <= we
-      if (hasNew) {
-        rec(0, a, we)
-        prevEnd = we
-      }
-      a += 1
-    }
+    windows(series, delta)((a, windowEnd) => rec(0, a, windowEnd, Double.PositiveInfinity))
   }
 }

@@ -26,20 +26,61 @@ object MaxFlowDP {
       windowStart: Long,
       windowEnd: Long
   ): (Vector[Long], Vector[Vector[Double]]) = {
-    val series = Series.normalize(seriesIn)
-    val m = series.length
-    val ts = series.flatten
-      .collect { case TF(t, _) if t >= windowStart && t <= windowEnd => t }
-      .distinct.sorted.toVector
-    val tau = ts.length
-    if (tau == 0) return (ts, Vector.fill(m)(Vector.empty))
+    val (ts, table) = sortedTable(Series.normalize(seriesIn), windowStart, windowEnd)
+    (ts.toVector, table.map(_.toVector).toVector)
+  }
 
-    // flowsum(e)(i) = cumulative flow of series(e) elements in [windowStart, ts(i)]
+  /** Maximum instance flow in one window (0 when the window holds none). */
+  def windowMaxFlow(
+      series: IndexedSeq[IndexedSeq[TF]],
+      windowStart: Long,
+      windowEnd: Long
+  ): Double = sortedMaxFlow(Series.normalize(series), windowStart, windowEnd)
+
+  /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
+    * to every window [[LocalEnumerator.windows]] visits — a skipped window's
+    * instances are all dominated by extensions found in an earlier window,
+    * and extensions only gain flow.
+    */
+  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
+    val series = Series.normalize(seriesIn)
+    var best = 0.0
+    LocalEnumerator.windows(series, delta) { (a, windowEnd) =>
+      best = math.max(best, sortedMaxFlow(series, series.head(a).t, windowEnd))
+    }
+    best
+  }
+
+  private def sortedMaxFlow(
+      series: IndexedSeq[IndexedSeq[TF]],
+      windowStart: Long,
+      windowEnd: Long
+  ): Double = {
+    val (ts, table) = sortedTable(series, windowStart, windowEnd)
+    if (ts.isEmpty) 0.0 else table.last.last
+  }
+
+  /** [[dpTable]] over already sorted series. */
+  private def sortedTable(
+      series: IndexedSeq[IndexedSeq[TF]],
+      windowStart: Long,
+      windowEnd: Long
+  ): (Array[Long], Array[Array[Double]]) = {
+    val m = series.length
+    val from = series.map(Series.lowerBound(_, windowStart))
+    val ts = series.indices.flatMap { e =>
+      val s = series(e)
+      (from(e) until s.length).iterator.map(s(_).t).takeWhile(_ <= windowEnd)
+    }.distinct.sorted.toArray
+    val tau = ts.length
+    if (tau == 0) return (ts, Array.fill(m)(Array.emptyDoubleArray))
+
+    // cum(e)(i) = cumulative flow of series(e) elements in [windowStart, ts(i)]
     val cum: Array[Array[Double]] = Array.tabulate(m) { e =>
       val s = series(e)
       val out = new Array[Double](tau)
       var acc = 0.0
-      var p = Series.lowerBound(s, windowStart)
+      var p = from(e)
       for (i <- 0 until tau) {
         while (p < s.length && s(p).t <= ts(i)) { acc += s(p).f; p += 1 }
         out(i) = acc
@@ -63,45 +104,6 @@ object MaxFlowDP {
       }
       table(kappa)(i) = best
     }
-    (ts, table.map(_.toVector).toVector)
-  }
-
-  /** Maximum instance flow in one window (0 when the window holds none). */
-  def windowMaxFlow(
-      series: IndexedSeq[IndexedSeq[TF]],
-      windowStart: Long,
-      windowEnd: Long
-  ): Double = {
-    val (ts, table) = dpTable(series, windowStart, windowEnd)
-    if (ts.isEmpty) 0.0 else table.last.last
-  }
-
-  /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
-    * to every (non-skipped) window position. Windows are anchored at the
-    * timestamps of `R(e_1)` with the same skip rule as [[LocalEnumerator]] —
-    * a skipped window's instances are all dominated by extensions found in an
-    * earlier window, and extensions only gain flow.
-    */
-  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
-    val series = Series.normalize(seriesIn)
-    val m = series.length
-    if (m == 0 || series.exists(_.isEmpty)) return 0.0
-    val e1 = series(0)
-    val em = series(m - 1)
-    var best = 0.0
-    var prevEnd = Long.MinValue
-    var a = 0
-    while (a < e1.length) {
-      val ts = e1(a).t
-      val we = ts + delta
-      val lo = Series.upperBound(em, prevEnd)
-      val hasNew = lo < em.length && em(lo).t <= we
-      if (hasNew) {
-        best = math.max(best, windowMaxFlow(series, ts, we))
-        prevEnd = we
-      }
-      a += 1
-    }
-    best
+    (ts, table)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** One flow interaction `(t, f)` on an edge of the time-series graph `G_T`. */
 final case class TF(t: Long, f: Double)
 
@@ -29,9 +31,11 @@ final case class LocalInstance(sets: Vector[Vector[TF]]) {
   * motif edge with label i+1 is mapped to, sorted by timestamp.
   */
 object Series {
-  /** Validate and normalize a per-edge series bundle: sorted, positive flows. */
+  /** Sort each series by timestamp (stable, so ties keep their input order)
+    * into an array-backed sequence. It does not validate the flows.
+    */
   def normalize(series: IndexedSeq[IndexedSeq[TF]]): IndexedSeq[IndexedSeq[TF]] =
-    series.map(_.sortBy(_.t))
+    series.map(s => ArraySeq.from(s).sortBy(_.t))
 
   /** Index of the first element with `t >= lo` (binary search; series sorted). */
   def lowerBound(s: IndexedSeq[TF], lo: Long): Int = {

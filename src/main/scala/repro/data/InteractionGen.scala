@@ -207,4 +207,16 @@ object InteractionGen {
 
   def passengerLike(spark: SparkSession, sf: Double = 1.0, seed: Long = 44): DataFrame =
     generate(spark, passengerConfig(sf, seed))
+
+  private val generators: Vector[(String, Double => Config)] = Vector(
+    "bitcoin" -> (bitcoinConfig(_)), "facebook" -> (facebookConfig(_)), "passenger" -> (passengerConfig(_)))
+
+  /** The named dataset (bitcoin, facebook or passenger) at scale `sf`, with
+    * its default seed.
+    */
+  def byName(spark: SparkSession, name: String, sf: Double): DataFrame = {
+    val config = generators.collectFirst { case (`name`, c) => c }
+      .getOrElse(sys.error(s"unknown dataset '$name'; known: ${generators.map(_._1)}"))
+    generate(spark, config(sf))
+  }
 }

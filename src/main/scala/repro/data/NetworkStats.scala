@@ -8,20 +8,15 @@ object NetworkStats {
 
   final case class Stats(nodes: Long, connectedPairs: Long, edges: Long, avgFlow: Double)
 
-  /** (#nodes, #connected node pairs = |E_T|, #edges, average flow per edge). */
+  /** (#nodes, #connected node pairs = |E_T|, #edges, average flow per edge),
+    * read from [[statsDf]] in one query; the average flow is rounded to 6 decimals.
+    */
   def stats(edges: DataFrame): Stats = {
-    val nodes = edges.select(col("src").as("v"))
-      .unionByName(edges.select(col("dst").as("v")))
-      .distinct().count()
-    val row = edges.agg(
-      count(lit(1)).as("edges"),
-      avg(col("f")).as("avgFlow")
-    ).head
-    val pairs = edges.select(col("src"), col("dst")).distinct().count()
-    Stats(nodes, pairs, row.getLong(0), row.getDouble(1))
+    val row = statsDf(edges).head
+    Stats(row.getLong(0), row.getLong(1), row.getLong(2), row.getDouble(3))
   }
 
-  /** Single-row DataFrame with the Table 3 columns, for the DuckDB oracle. */
+  /** Single-row DataFrame with the Table 3 columns, checked against DuckDB. */
   def statsDf(edges: DataFrame): DataFrame = {
     val nodes = edges.select(col("src").as("v"))
       .unionByName(edges.select(col("dst").as("v")))

@@ -92,4 +92,68 @@ class EnumeratorPropertySpec extends AnyFunSuite {
       for (s <- 0 until 20) checkDP(batch * 20 + s)
     }
   }
+
+  /** Random per-edge series with timestamp ties inside an edge. Flows are
+    * distinct within an edge, because `BruteForce.isMaximal` tells
+    * interactions apart by value.
+    */
+  private def tiedSeries(rnd: scala.util.Random, m: Int): Vector[Vector[TF]] =
+    Vector.fill(m) {
+      val n = rnd.nextInt(5) + 1
+      val flows = rnd.shuffle((1 to 9).toVector).take(n)
+      flows.map(f => TF(rnd.nextInt(12).toLong, f.toDouble)).sortBy(_.t)
+    }
+
+  private def checkTies(seed: Int): Unit = {
+    val rnd = new scala.util.Random(30000 + seed)
+    val m = rnd.nextInt(3) + 1
+    val series = tiedSeries(rnd, m)
+    val delta = rnd.nextInt(8).toLong
+    val phi = rnd.nextInt(3).toDouble * 4
+    val ctx = s"seed=$seed series=$series δ=$delta"
+    val brute = BruteForce.instances(series, delta, phi)
+    assert(LocalEnumerator.enumerate(series, delta, phi).map(_.sets).toSet == brute.map(_.sets).toSet,
+      s"$ctx φ=$phi: enumerator != brute force")
+    val all = BruteForce.instances(series, delta, phi = 0.0)
+    val k = rnd.nextInt(4) + 1
+    val top = TopKEnumerator.topK(series, delta, k)
+    assert(top.map(_.flow) == all.map(_.flow).sorted(Ordering[Double].reverse).take(k), s"$ctx: topK flows")
+    assert(top.forall(i => all.exists(_.sets == i.sets)), s"$ctx: topK instance not maximal")
+    assert(MaxFlowDP.maxFlow(series, delta) == BruteForce.maxFlow(series, delta), s"$ctx: DP max")
+  }
+
+  for (batch <- 0 until 5) {
+    test(s"timestamp ties within an edge: enumerate, top-k and DP == brute force (batch $batch, 40 seeds)") {
+      for (s <- 0 until 40) checkTies(batch * 40 + s)
+    }
+  }
+
+  /** Dense series: 50-300 interactions per edge, beyond brute force's reach,
+    * where the floating top-k threshold prunes. Enumerating with φ set to the
+    * k-th best top-k flow must find exactly the top-k flows at its head.
+    */
+  private def checkDense(seed: Int): Unit = {
+    val rnd = new scala.util.Random(40000 + seed)
+    val m = rnd.nextInt(4) + 2
+    val series = Vector.fill(m) {
+      val n = rnd.nextInt(251) + 50
+      Vector.fill(n)(TF(rnd.nextInt(1000).toLong, rnd.nextInt(900) / 100.0 + 1)).sortBy(_.t)
+    }
+    val delta = (rnd.nextInt(4) + 1) * 20L
+    val k = rnd.nextInt(10) + 1
+    val ctx = s"seed=$seed m=$m δ=$delta k=$k"
+    val top = TopKEnumerator.topK(series, delta, k)
+    assert(top.size == k, s"$ctx: fewer than k instances")
+    val above = LocalEnumerator.enumerate(series, delta, phi = top.last.flow)
+    assert(LocalEnumerator.count(series, delta, top.last.flow) == above.size, s"$ctx: count != enumerate.size")
+    assert(top.map(_.flow) == above.map(_.flow).sorted(Ordering[Double].reverse).take(k), s"$ctx: topK flows")
+    // The DP subtracts prefix sums, so it may differ from the summed flow by rounding.
+    assert(math.abs(MaxFlowDP.maxFlow(series, delta) - top.head.flow) < 1e-9, s"$ctx: DP max != top-1")
+  }
+
+  for (batch <- 0 until 4) {
+    test(s"dense series: count == enumerate, top-k == k best, DP == top-1 (batch $batch, 10 seeds)") {
+      for (s <- 0 until 10) checkDense(batch * 10 + s)
+    }
+  }
 }

@@ -1,7 +1,8 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestGraphs}
+import repro.{Oracle, SparkSpec}
 import repro.core.{FlowMotifSearch, MotifCatalog}
 
 /** Synthetic interaction networks (DESIGN.md §4 substitutions). Generated at
@@ -19,6 +20,15 @@ class InteractionGenSpec extends SparkSpec {
     val a = InteractionGen.bitcoinLike(spark, sf).orderBy("src", "dst", "t", "f").collect()
     val b = InteractionGen.bitcoinLike(spark, sf).orderBy("src", "dst", "t", "f").collect()
     assert(a.toSeq == b.toSeq)
+  }
+
+  test("byName resolves every dataset to its default generator and rejects unknown names") {
+    def rows(df: DataFrame) = df.orderBy("src", "dst", "t", "f").collect().toSeq
+    assert(rows(InteractionGen.byName(spark, "bitcoin", sf)) == rows(btc))
+    assert(rows(InteractionGen.byName(spark, "facebook", sf)) == rows(fb))
+    assert(rows(InteractionGen.byName(spark, "passenger", sf)) == rows(pax))
+    val e = intercept[RuntimeException](InteractionGen.byName(spark, "taxi", sf))
+    assert(Seq("bitcoin", "facebook", "passenger").forall(e.getMessage.contains))
   }
 
   test("different seeds change the data") {
@@ -47,6 +57,15 @@ class InteractionGenSpec extends SparkSpec {
     val stats = NetworkStats.stats(fb)
     val perPair = stats.edges.toDouble / stats.connectedPairs
     assert(perPair > 1.5, s"edges per pair = $perPair")
+  }
+
+  test("statsDf equals DuckDB's Table 3 aggregation (oracle)") {
+    Oracle.assertEquivalent(NetworkStats.statsDf(fb),
+      """SELECT (SELECT count(DISTINCT v) FROM (SELECT src AS v FROM edges UNION ALL SELECT dst FROM edges)) AS nodes,
+        |  (SELECT count(*) FROM (SELECT DISTINCT src, dst FROM edges)) AS connected_pairs,
+        |  (SELECT count(*) FROM edges) AS edges,
+        |  (SELECT avg(CAST(f AS DOUBLE)) FROM edges) AS avg_flow""".stripMargin,
+      "edges" -> fb)
   }
 
   test("passenger-like uses exactly the 289 taxi zones as the node universe") {
