@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -20,28 +21,41 @@ final case class InstanceRow(
     sets: Seq[Seq[TF]]
 )
 
-/** The paper's two-phase flow motif search, distributed:
-  * P1 = [[StructuralMatcher]] (DataFrame joins); P2 = [[LocalEnumerator]]
-  * (Algorithm 1) run per structural match inside a typed `flatMap`, after the
-  * per-edge interaction series are attached to each match by m more joins
-  * against the time-series graph.
+/** The paper's two-phase flow motif search, distributed: `G_T` is collected
+  * to the driver as a [[Csr]] and broadcast; P1 = [[StructuralMatcher]]'s
+  * DFS over it, which picks up each match's per-edge interaction series as
+  * it walks; P2 = [[LocalEnumerator]] (Algorithm 1) runs per structural match
+  * in the same Spark tasks. Nothing is shuffled before the final aggregate.
   */
 object FlowMotifSearch {
 
-  /** Phase P1 + series attachment: one [[MatchRow]] per structural match. */
-  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
+  /** Phase P1 with the series attached: one [[MatchRow]] per structural match.
+    *
+    * `G_T` is cached (see [[TimeSeriesGraph.build]]), then collected and
+    * broadcast; the collect is bounded by `spark.driver.maxResultSize`, and a
+    * larger `G_T` fails with Spark's error, which states the size. The result
+    * is lazy, so the broadcast is released by Spark's ContextCleaner once the
+    * Dataset is unreachable.
+    */
+  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] =
+    rows(spark, broadcastGraph(spark, edges), motif)
+
+  /** Runs `action` on the match rows, then destroys the broadcast `G_T`. */
+  private[core] def withMatchRows[A](spark: SparkSession, edges: DataFrame, motif: Motif)(
+      action: Dataset[MatchRow] => A): A = {
+    val g = broadcastGraph(spark, edges)
+    try action(rows(spark, g, motif)) finally g.destroy()
+  }
+
+  private def broadcastGraph(spark: SparkSession, edges: DataFrame): Broadcast[Csr] =
+    spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(TimeSeriesGraph.build(edges).cache()))
+
+  private def rows(spark: SparkSession, g: Broadcast[Csr], motif: Motif): Dataset[MatchRow] = {
     import spark.implicits._
-    val tsg = TimeSeriesGraph.build(edges).cache()
-    val m = StructuralMatcher.matches(TimeSeriesGraph.pairs(edges), motif)
-    val withSeries = motif.edges.zipWithIndex.foldLeft(m) { case (df, ((a, b), i)) =>
-      val t = tsg.select(col("src").as(s"_a$i"), col("dst").as(s"_b$i"), col("series").as(s"s$i"))
-      df.join(t, col(StructuralMatcher.vcol(a)) === col(s"_a$i") &&
-                 col(StructuralMatcher.vcol(b)) === col(s"_b$i"))
-        .drop(s"_a$i", s"_b$i")
+    StructuralMatcher.walk(spark, g, motif) { (vs, es) =>
+      val csr = g.value
+      MatchRow(vs.toSeq, es.toSeq.map(csr.series))
     }
-    val vsCol = array(motif.vertexIds.map(i => col(StructuralMatcher.vcol(i))): _*)
-    val seriesCol = array((0 until motif.m).map(i => col(s"s$i")): _*)
-    withSeries.select(vsCol.as("vs"), seriesCol.as("series")).as[MatchRow]
   }
 
   /** All maximal instances of `(motif, δ, φ)` in the interaction network.
@@ -73,8 +87,9 @@ object FlowMotifSearch {
       phi: Double
   ): Long = {
     import spark.implicits._
-    val counts = matchRows(spark, edges, motif)
-      .map(mr => LocalEnumerator.count(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta, phi))
-    counts.toDF("n").agg(coalesce(sum("n"), lit(0L)).as("total")).head.getLong(0)
+    withMatchRows(spark, edges, motif) { rows =>
+      val counts = rows.map(mr => LocalEnumerator.count(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta, phi))
+      counts.toDF("n").agg(coalesce(sum("n"), lit(0L)).as("total")).head().getLong(0)
+    }
   }
 }

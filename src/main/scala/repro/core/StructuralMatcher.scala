@@ -1,18 +1,21 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import scala.collection.mutable.ArrayBuffer
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
   * path in the time-series graph, disregarding timestamps, δ and φ.
   *
-  * The paper walks the spanning path with a modified DFS; the relational
-  * equivalent is one self-join of the distinct-pair table per motif edge,
-  * binding a new vertex column when the path reaches a vertex for the first
-  * time and filtering against the bound column when it revisits one (cycle
-  * closure), plus pairwise distinctness filters for the vertex bijection.
-  * Catalyst plans this as a chain of shuffle joins — the distributed analogue
-  * of the paper's DFS enumeration.
+  * This is the paper's modified DFS along the spanning path, over a [[Csr]]
+  * of `G_T` that the driver collects and broadcasts. Start vertices (the
+  * CSR's rows) are interleaved across `defaultParallelism` slices, row `i`
+  * going to slice `i mod p`, and each slice is walked inside one Spark task.
+  * When the walk reaches a motif vertex for the first time it binds it to
+  * any out-neighbour distinct from every vertex already bound (the vertex
+  * bijection); when it revisits one (cycle closure) it requires the edge to
+  * the bound vertex.
   */
 object StructuralMatcher {
 
@@ -22,30 +25,75 @@ object StructuralMatcher {
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
     *
+    * The pairs are collected to the driver (bounded by
+    * `spark.driver.maxResultSize`) and broadcast; the result is lazy, so the
+    * broadcast is released by Spark's ContextCleaner.
+    *
     * @param pairs distinct `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
-    val p = pairs.select(col("src"), col("dst"))
-    val first = motif.edges.head
-    var df = p.select(col("src").as(vcol(first._1)), col("dst").as(vcol(first._2)))
-    var bound = Set(first._1, first._2)
-    for (step <- 1 until motif.m) {
-      val (a, b) = motif.edges(step)
-      val stepDf = p.select(col("src").as("_sa"), col("dst").as("_sb"))
-      df = df.join(stepDf, col(vcol(a)) === col("_sa"))
-      df =
-        if (bound(b)) df.where(col("_sb") === col(vcol(b))).drop("_sa", "_sb")
-        else { bound += b; df.withColumn(vcol(b), col("_sb")).drop("_sa", "_sb") }
+    val spark = pairs.sparkSession
+    import spark.implicits._
+    val g = spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(pairs))
+    walk(spark, g, motif)((vs, _) => vs)
+      .toDF("vs")
+      .select(motif.vertexIds.map(i => col("vs")(i).as(vcol(i))): _*)
+  }
+
+  /** Every structural match of `motif` in the broadcast graph, as
+    * `out(vs, es)`: `vs(i)` is the graph vertex bound to motif vertex `i`,
+    * `es(j)` the CSR edge motif edge `j` is mapped to. One partition per
+    * slice of start vertices, and no shuffle.
+    */
+  private[core] def walk[T: Encoder](spark: SparkSession, g: Broadcast[Csr], motif: Motif)(
+      out: (Array[Long], Array[Int]) => T): Dataset[T] = {
+    import spark.implicits._
+    val p = spark.sparkContext.defaultParallelism
+    spark.range(0, p, 1, p).as[Long].flatMap { slice =>
+      val csr = g.value
+      Iterator.range(slice.toInt, csr.numSources, p).flatMap(r => fromRow(csr, motif, r)).map(out.tupled)
     }
-    // Vertex bijection: distinct motif vertices map to distinct graph vertices.
-    val vs = motif.vertexIds
-    val distinctness = for { i <- vs; j <- vs if i < j } yield col(vcol(i)) =!= col(vcol(j))
-    df.where(distinctness.reduceOption(_ && _).getOrElse(lit(true)))
-      .select(vs.map(i => col(vcol(i))): _*)
+  }
+
+  /** The matches whose first motif vertex is bound to row `r`'s vertex. */
+  private def fromRow(g: Csr, motif: Motif, r: Int): ArrayBuffer[(Array[Long], Array[Int])] = {
+    val found = ArrayBuffer.empty[(Array[Long], Array[Int])]
+    val vs = new Array[Long](motif.numVertices)
+    val rows = new Array[Int](motif.numVertices) // CSR row of each bound vertex, -1 if none
+    val es = new Array[Int](motif.m)
+    // Vertices are numbered by first appearance along the path, so motif
+    // vertex b is unbound at step s exactly when b == nBound.
+    def step(s: Int, nBound: Int): Unit =
+      if (s == motif.m) found += ((vs.clone(), es.clone()))
+      else {
+        val (a, b) = motif.edges(s)
+        val ra = rows(a)
+        if (ra >= 0) {
+          if (b < nBound) {
+            val e = g.edge(ra, vs(b))
+            if (e >= 0) { es(s) = e; step(s + 1, nBound) }
+          } else {
+            var e = g.offsets(ra)
+            while (e < g.offsets(ra + 1)) {
+              val v = g.dst(e)
+              var i = 0
+              while (i < nBound && vs(i) != v) i += 1
+              if (i == nBound) {
+                vs(b) = v; rows(b) = g.row(v); es(s) = e
+                step(s + 1, nBound + 1)
+              }
+              e += 1
+            }
+          }
+        }
+      }
+    vs(0) = g.src(r); rows(0) = r
+    step(0, 1)
+    found
   }
 
   /** The SQL a relational engine would run for the same match set — used by
-    * tests to cross-check the Spark matcher against DuckDB over a `pairs`
+    * tests to cross-check the DFS matcher against DuckDB over a `pairs`
     * table with columns (src, dst). Output column `n` = number of matches.
     */
   def countSql(motif: Motif, table: String = "pairs"): String = {

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 
 /** Distributed top-k flow motif search (Section 5) and the DP-based top-1
   * variant (Section 5.1).
@@ -21,18 +22,19 @@ object TopKSearch {
       k: Int
   ): Seq[InstanceRow] = {
     import spark.implicits._
-    FlowMotifSearch
-      .matchRows(spark, edges, motif)
-      .flatMap { mr =>
-        val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
-        TopKEnumerator.topK(series, delta, k).map { inst =>
-          InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
+    FlowMotifSearch.withMatchRows(spark, edges, motif) { rows =>
+      rows
+        .flatMap { mr =>
+          val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
+          TopKEnumerator.topK(series, delta, k).map { inst =>
+            InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
+          }
         }
-      }
-      .orderBy($"flow".desc)
-      .limit(k)
-      .collect()
-      .toSeq
+        .orderBy($"flow".desc)
+        .limit(k)
+        .collect()
+        .toSeq
+    }
   }
 
   /** Top-1 instance flow via the dynamic-programming module (Algorithm 2). */
@@ -43,10 +45,9 @@ object TopKSearch {
       delta: Long
   ): Double = {
     import spark.implicits._
-    val flows: Dataset[Double] = FlowMotifSearch
-      .matchRows(spark, edges, motif)
-      .map(mr => MaxFlowDP.maxFlow(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta))
-    import org.apache.spark.sql.functions._
-    flows.toDF("mf").agg(coalesce(max("mf"), lit(0.0)).as("best")).head.getDouble(0)
+    FlowMotifSearch.withMatchRows(spark, edges, motif) { rows =>
+      val flows = rows.map(mr => MaxFlowDP.maxFlow(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta))
+      flows.toDF("mf").agg(coalesce(max("mf"), lit(0.0)).as("best")).head().getDouble(0)
+    }
   }
 }

@@ -3,7 +3,9 @@ package repro.core
 import repro.{SparkSpec, TestGraphs}
 
 /** End-to-end two-phase search (P1 + P2 on Spark) against full brute force
-  * (brute structural matching x brute maximal enumeration) on small graphs.
+  * (brute structural matching x brute maximal enumeration) on small graphs,
+  * and the match rows P1's DFS emits against brute-force matches with their
+  * series.
   */
 class FlowMotifSearchSpec extends SparkSpec {
 
@@ -77,5 +79,92 @@ class FlowMotifSearchSpec extends SparkSpec {
   test("searching an empty graph returns nothing") {
     val df = TestGraphs.toDf(spark, Vector.empty[TestGraphs.Edge])
     assert(FlowMotifSearch.countInstances(spark, df, MotifCatalog.M32, 10, 0.0) == 0)
+  }
+
+  // ------------------------------------------------ match rows (P1 + series)
+
+  private type Row = (Vector[Long], Vector[Vector[TF]])
+
+  private def collectRows(df: org.apache.spark.sql.DataFrame, motif: Motif): Seq[Row] =
+    FlowMotifSearch.matchRows(spark, df, motif).collect().toSeq
+      .map(r => (r.vs.toVector, r.series.map(_.toVector).toVector))
+
+  /** Brute-force matches over the non-loop pairs, each with its series. */
+  private def expectedRows(edges: Seq[TestGraphs.Edge], motif: Motif): Seq[Row] = {
+    val pairs = edges.filter(e => e.src != e.dst).map(e => (e.src, e.dst)).toSet
+    BruteForce.structuralMatches(pairs, motif).toSeq.map(vs => (vs, TestGraphs.seriesFor(edges, motif, vs)))
+  }
+
+  /** Multiset equality; `expected` holds no duplicates. */
+  private def assertSameRows(got: Seq[Row], expected: Seq[Row], clue: String): Unit = {
+    assert(got.size == expected.size, s"$clue: ${got.size} rows, expected ${expected.size}")
+    assert(got.toSet == expected.toSet, clue)
+  }
+
+  /** Random pairs over vertices 0..6, plus: hub 0 with an edge to each of
+    * 1..8, the reverse of some random pairs, sinks 7 and 8 (no out-edges, so
+    * a path reaching them mid-way dies there) and self-loops, one of them on
+    * sink 7. Each pair carries 1–3 interactions with distinct timestamps.
+    */
+  private def structuredEdges(seed: Long): Vector[TestGraphs.Edge] = {
+    val rnd = new scala.util.Random(seed)
+    val random = Vector.fill(14)((rnd.nextInt(7).toLong, rnd.nextInt(7).toLong)).filter(p => p._1 != p._2)
+    val hub = (1L to 8L).map(v => (0L, v))
+    val reversed = random.take(5).map(_.swap)
+    val intoSinks = Seq((3L, 7L), (5L, 8L), (2L, 8L))
+    val loops = Seq((0L, 0L), (2L, 2L), (7L, 7L))
+    (random ++ hub ++ reversed ++ intoSinks ++ loops).distinct.flatMap { case (s, d) =>
+      rnd.shuffle((0 until 40).toVector).take(1 + rnd.nextInt(3))
+        .map(t => TestGraphs.Edge(s, d, t.toLong, (rnd.nextInt(5) + 1).toDouble))
+    }
+  }
+
+  for (motif <- MotifCatalog.all) {
+    test(s"${motif.name}: match rows == brute-force matches with their series, under any partitioning") {
+      val edges = structuredEdges(seed = 500 + motif.m * 7 + motif.numVertices)
+      val expected = expectedRows(edges, motif)
+      assert(expected.nonEmpty, "the fixture should have matches")
+      val df = TestGraphs.toDf(spark, edges)
+      for ((label, input) <- Seq("as built" -> df, "repartition(1)" -> df.repartition(1),
+                                 "repartition(13)" -> df.repartition(13)))
+        assertSameRows(collectRows(input, motif), expected, s"${motif.name} $label")
+    }
+  }
+
+  test("an input of only self-loops has no match rows and no instances") {
+    val loops = (1L to 4L).flatMap(v => Seq(TestGraphs.Edge(v, v, 1, 2.0), TestGraphs.Edge(v, v, 5, 3.0)))
+    val df = TestGraphs.toDf(spark, loops)
+    for (motif <- Seq(MotifCatalog.M32, MotifCatalog.M33)) {
+      assert(FlowMotifSearch.matchRows(spark, df, motif).count() == 0)
+      assert(FlowMotifSearch.countInstances(spark, df, motif, 10, 0.0) == 0)
+    }
+  }
+
+  test("a single source vertex: one-edge motif matches each out-edge, longer motifs none") {
+    val star = Vector(
+      TestGraphs.Edge(5, 6, 1, 2.0), TestGraphs.Edge(5, 6, 4, 1.0), TestGraphs.Edge(5, 6, 30, 3.0),
+      TestGraphs.Edge(5, 7, 2, 4.0), TestGraphs.Edge(5, 8, 3, 1.0), TestGraphs.Edge(5, 8, 9, 5.0))
+    val df = TestGraphs.toDf(spark, star)
+    val oneEdge = Motif("M(2,1)", Vector(0, 1))
+    assertSameRows(collectRows(df, oneEdge), expectedRows(star, oneEdge), "M(2,1)")
+    assert(FlowMotifSearch.countInstances(spark, df, oneEdge, 5, 0.0) ==
+      TestGraphs.bruteForceAll(star, oneEdge, 5, 0.0).size)
+    for (motif <- MotifCatalog.all) {
+      assert(collectRows(df, motif).isEmpty, motif.name)
+      assert(FlowMotifSearch.countInstances(spark, df, motif, 5, 0.0) == 0, motif.name)
+    }
+  }
+
+  test("negative and near-Long.MaxValue vertex ids match like any others") {
+    val ids = Vector(Long.MinValue, -7L, -1L, 0L, Long.MaxValue - 1, Long.MaxValue)
+    val edges = TestGraphs.randomEdges(nNodes = ids.size, nEdges = 40, horizon = 40, maxFlow = 5, seed = 77)
+      .map(e => e.copy(src = ids(e.src.toInt), dst = ids(e.dst.toInt)))
+    val df = TestGraphs.toDf(spark, edges)
+    for (motif <- MotifCatalog.all) {
+      val expected = expectedRows(edges, motif)
+      assertSameRows(collectRows(df, motif), expected, motif.name)
+      assert(FlowMotifSearch.countInstances(spark, df, motif, 12, 2.0) ==
+        TestGraphs.bruteForceAll(edges, motif, 12, 2.0).size, motif.name)
+    }
   }
 }

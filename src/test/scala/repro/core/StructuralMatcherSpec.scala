@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
 
-/** Phase P1: structural matching via DataFrame joins, checked against the
-  * brute-force matcher and against DuckDB running the equivalent SQL join.
+/** Phase P1: structural matching by the DFS over a broadcast CSR, checked
+  * against the brute-force matcher and against DuckDB running the equivalent
+  * SQL join.
   */
 class StructuralMatcherSpec extends SparkSpec {
 
@@ -97,5 +98,14 @@ class StructuralMatcherSpec extends SparkSpec {
   test("matches on an empty graph are empty") {
     val empty = pairsDf(Vector.empty)
     assert(StructuralMatcher.matches(empty, MotifCatalog.M32).count() == 0)
+  }
+
+  test("negative and near-Long.MaxValue vertex ids match like any others") {
+    val ids = Vector(Long.MinValue, -3L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    val edges = TestGraphs.randomEdges(nNodes = ids.size, nEdges = 30, horizon = 50, maxFlow = 5, seed = 91)
+      .map(e => e.copy(src = ids(e.src.toInt), dst = ids(e.dst.toInt)))
+    val pairs = edges.map(e => (e.src, e.dst)).toSet
+    for (motif <- MotifCatalog.all)
+      assert(collectMatches(edges, motif) == BruteForce.structuralMatches(pairs, motif), motif.name)
   }
 }

@@ -62,4 +62,20 @@ class TimeSeriesGraphSpec extends SparkSpec {
     val empty = TestGraphs.toDf(spark, Vector.empty[TestGraphs.Edge])
     assert(TimeSeriesGraph.build(empty).count() == 0)
   }
+
+  test("collectCsr: sorted rows, binary-searched lookups, series per edge") {
+    val edges = TestGraphs.fig2Edges :+ TestGraphs.Edge(Long.MinValue, 3, 7, 2.0) :+
+      TestGraphs.Edge(1, Long.MaxValue, 8, 1.0) :+ TestGraphs.Edge(1, 1, 9, 1.0)
+    val df = TestGraphs.toDf(spark, edges)
+    val g = TimeSeriesGraph.collectCsr(TimeSeriesGraph.build(df))
+    assert(g.src.toSeq == Seq(Long.MinValue, 1L, 2L, 3L))
+    assert(g.offsets.toSeq == Seq(0, 1, 3, 4, 5))
+    assert(g.dst.toSeq == Seq(3L, 2L, Long.MaxValue, 3L, 1L))
+    assert(g.row(Long.MaxValue) == -1 && g.row(Long.MinValue) == 0)
+    assert(g.edge(g.row(1), 2) == 1 && g.edge(g.row(1), 3) == -1)
+    assert(g.series(1) == Seq(TF(13, 5.0), TF(15, 7.0)))
+    val p = TimeSeriesGraph.collectCsr(TimeSeriesGraph.pairs(df))
+    assert(p.dst.toSeq == g.dst.toSeq && p.offsets.toSeq == g.offsets.toSeq)
+    assert((0 until p.dst.length).forall(e => p.series(e).isEmpty))
+  }
 }
