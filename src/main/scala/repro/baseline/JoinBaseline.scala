@@ -129,8 +129,9 @@ object JoinBaseline {
     val m = r.ts.length
     val tEnd = r.te(m - 1)
     val tStart = r.ts.head
-    val noPrefix = !r.series.head.exists(x => x.t >= tEnd - delta && x.t < tStart)
-    val noSuffix = !r.series(m - 1).exists(x => x.t > tEnd && x.t <= tStart + delta)
+    // Differences, not `tStart + delta`, so a large δ cannot overflow.
+    val noPrefix = !r.series.head.exists(x => tEnd - x.t <= delta && x.t < tStart)
+    val noSuffix = !r.series(m - 1).exists(x => x.t > tEnd && x.t - tStart <= delta)
     val noGaps = (0 until m - 1).forall { i =>
       val lo = r.te(i); val hi = r.ts(i + 1)
       !r.series(i).exists(x => x.t > lo && x.t < hi) &&

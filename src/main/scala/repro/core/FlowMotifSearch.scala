@@ -21,8 +21,9 @@ final case class InstanceRow(
     sets: Seq[Seq[TF]]
 )
 
-/** The paper's two-phase flow motif search, distributed: `G_T` is collected
-  * to the driver as a [[Csr]] and broadcast; P1 = [[StructuralMatcher]]'s
+/** The paper's two-phase flow motif search, distributed: the interactions
+  * are collected to the driver as a [[Csr]] of `G_T` and broadcast, and
+  * nothing is cached; P1 = [[StructuralMatcher]]'s
   * DFS over it, which picks up each match's per-edge interaction series as
   * it walks; P2 = [[LocalEnumerator]] (Algorithm 1) runs per structural match
   * in the same Spark tasks. Nothing is shuffled before the final aggregate.
@@ -31,11 +32,12 @@ object FlowMotifSearch {
 
   /** Phase P1 with the series attached: one [[MatchRow]] per structural match.
     *
-    * `G_T` is cached (see [[TimeSeriesGraph.build]]), then collected and
-    * broadcast; the collect is bounded by `spark.driver.maxResultSize`, and a
-    * larger `G_T` fails with Spark's error, which states the size. The result
-    * is lazy, so the broadcast is released by Spark's ContextCleaner once the
-    * Dataset is unreachable.
+    * The interactions are collected straight into a CSR (see
+    * [[TimeSeriesGraph.collectCsr]], which also checks them) and broadcast;
+    * nothing is cached. The collect is bounded by
+    * `spark.driver.maxResultSize`, and a larger input fails with Spark's
+    * error, which states the size. The result is lazy, so the broadcast is
+    * released by Spark's ContextCleaner once the Dataset is unreachable.
     */
   def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] =
     rows(spark, broadcastGraph(spark, edges), motif)
@@ -48,7 +50,7 @@ object FlowMotifSearch {
   }
 
   private def broadcastGraph(spark: SparkSession, edges: DataFrame): Broadcast[Csr] =
-    spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(TimeSeriesGraph.build(edges).cache()))
+    spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(edges))
 
   private def rows(spark: SparkSession, g: Broadcast[Csr], motif: Motif): Dataset[MatchRow] = {
     import spark.implicits._

@@ -90,22 +90,24 @@ object LocalEnumerator {
     LocalInstance(Vector.tabulate(series.length)(i => series(i).slice(starts(i), ends(i)).toVector))
 
   /** Visit every non-skipped window of sorted `series` as (index of its
-    * anchoring `R(e_1)` element, window end).
+    * anchoring `R(e_1)` element, window end). The window end saturates at
+    * `Long.MaxValue`, so a δ of `Long.MaxValue` means "unbounded".
     */
   private[core] def windows(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(visit: (Int, Long) => Unit): Unit = {
     require(delta >= 0, "delta must be non-negative")
     if (series.isEmpty || series.exists(_.isEmpty)) return
     val e1 = series.head
     val em = series.last
-    var prevEnd = Long.MinValue
+    var fresh = 0 // first R(e_m) element after the previous visited window's end
     var a = 0
     while (a < e1.length) {
-      val we = e1(a).t + delta
-      // Skip rule: no R(e_m) element in (prevEnd, we] => only non-maximal instances.
-      val lo = Series.upperBound(em, prevEnd)
-      if (lo < em.length && em(lo).t <= we) {
+      val t = e1(a).t
+      val we = if (t > Long.MaxValue - delta) Long.MaxValue else t + delta
+      // Skip rule: no R(e_m) element after the previous window end and
+      // within this one => only non-maximal instances.
+      if (fresh < em.length && em(fresh).t <= we) {
         visit(a, we)
-        prevEnd = we
+        fresh = Series.upperBound(em, we)
       }
       a += 1
     }

@@ -10,7 +10,8 @@ import org.apache.spark.sql.functions._
   * sorted ascending within the row. Edge `e`'s interaction series is
   * `t`/`f` over `seriesOffsets(e) until seriesOffsets(e + 1)`, sorted as
   * [[TimeSeriesGraph.build]] sorts it; a CSR built from a pairs table has
-  * empty series.
+  * empty series. [[TimeSeriesGraph.collectCsr]] builds it on the driver
+  * straight from the interaction rows, without `G_T` or a cache.
   */
 final class Csr private[core] (
     val src: Array[Long],
@@ -69,34 +70,63 @@ object TimeSeriesGraph {
     */
   def pairs(edges: DataFrame): DataFrame = build(edges).select(col("src"), col("dst"))
 
-  /** Collects `G_T` (the output of [[build]]) or a distinct-pairs table
-    * (columns `src`, `dst`; the edges get empty series) to the driver as a
-    * [[Csr]]. The collect is bounded by `spark.driver.maxResultSize`: a
-    * larger graph fails with Spark's error, which states the size.
+  /** Collects interaction rows `(src, dst, t, f)`, or a distinct-pairs table
+    * `(src, dst)` whose edges get empty series, to the driver as a [[Csr]].
+    * Self-loops are dropped, and the rows are sorted once, by
+    * `(src, dst, t, f)`: the order [[build]]'s `sort_array` gives a series.
+    *
+    * This is where interactions enter the search, so every row is checked
+    * here: a null column, or a flow that is not finite and positive, fails
+    * with an `IllegalArgumentException` that gives the number of such rows
+    * and one of them. Nothing is cached. The collect is bounded by
+    * `spark.driver.maxResultSize`: a larger input fails with Spark's error,
+    * which states the size.
     */
-  def collectCsr(g: DataFrame): Csr = {
-    val spark = g.sparkSession
-    import spark.implicits._
-    // One task per core rather than one per shuffle partition of `g`.
-    val parts = g.coalesce(spark.sparkContext.defaultParallelism)
-    val rows =
-      if (g.columns.contains("series"))
-        parts.select(col("src"), col("dst"), col("series.t"), col("series.f"))
-          .as[(Long, Long, Array[Long], Array[Double])].collect()
-      else
-        parts.select(col("src"), col("dst")).as[(Long, Long)].collect()
-          .map { case (s, d) => (s, d, Array.emptyLongArray, Array.emptyDoubleArray) }
-    val sorted = rows.sortBy(r => (r._1, r._2))
-    val n = sorted.length
-    val src = Array.newBuilder[Long]
+  def collectCsr(rows: DataFrame): Csr = {
+    val withSeries = rows.columns.contains("t")
+    val names = if (withSeries) Seq("src", "dst", "t", "f") else Seq("src", "dst")
+    val types = Seq("long", "long", "long", "double")
+    // One task per core rather than one per partition of the input.
+    val in = rows.select(names.zip(types).map { case (n, ty) => col(n).cast(ty) }: _*)
+      .coalesce(rows.sparkSession.sparkContext.defaultParallelism).collect()
+    val bad = in.filter(r => r.anyNull || withSeries && !(r.getDouble(3) > 0 && r.getDouble(3) < Double.PositiveInfinity))
+    require(bad.isEmpty, s"input rows rejected: ${bad.length} (a null column, or a flow that is not " +
+      s"finite and positive), e.g. (${names.mkString(", ")}) = ${bad.head.toSeq.mkString("(", ", ", ")")}")
+    val kept = in.filter(r => r.getLong(0) != r.getLong(1))
+    val src = kept.map(_.getLong(0))
+    val dst = kept.map(_.getLong(1))
+    val t = if (withSeries) kept.map(_.getLong(2)) else Array.emptyLongArray
+    val f = if (withSeries) kept.map(_.getDouble(3)) else Array.emptyDoubleArray
+    // Sort row indices rather than boxed rows; `sorted` boxes each index once.
+    val order = Array.range(0, src.length).sorted(new Ordering[Int] {
+      def compare(a: Int, b: Int): Int = {
+        var c = java.lang.Long.compare(src(a), src(b))
+        if (c == 0) c = java.lang.Long.compare(dst(a), dst(b))
+        if (c == 0 && withSeries) c = java.lang.Long.compare(t(a), t(b))
+        if (c == 0 && withSeries) c = java.lang.Double.compare(f(a), f(b))
+        c
+      }
+    })
+    // Each run of equal (src, dst) is one edge; each run of equal src one row.
+    val rowSrc = Array.newBuilder[Long]
     val offsets = Array.newBuilder[Int]
-    val seriesOffsets = new Array[Int](n + 1)
-    for (e <- 0 until n) {
-      if (e == 0 || sorted(e)._1 != sorted(e - 1)._1) { src += sorted(e)._1; offsets += e }
-      seriesOffsets(e + 1) = seriesOffsets(e) + sorted(e)._3.length
+    val edgeDst = Array.newBuilder[Long]
+    val seriesOffsets = Array.newBuilder[Int]
+    var edges = 0
+    for (k <- order.indices) {
+      val i = order(k)
+      val p = if (k == 0) -1 else order(k - 1)
+      val newRow = p < 0 || src(i) != src(p)
+      if (newRow || dst(i) != dst(p)) {
+        if (newRow) { rowSrc += src(i); offsets += edges }
+        edgeDst += dst(i)
+        seriesOffsets += (if (withSeries) k else 0)
+        edges += 1
+      }
     }
-    offsets += n
-    new Csr(src.result(), offsets.result(), sorted.map(_._2), seriesOffsets,
-      sorted.flatMap(_._3), sorted.flatMap(_._4))
+    offsets += edges
+    seriesOffsets += (if (withSeries) order.length else 0)
+    new Csr(rowSrc.result(), offsets.result(), edgeDst.result(), seriesOffsets.result(),
+      if (withSeries) order.map(t(_)) else t, if (withSeries) order.map(f(_)) else f)
   }
 }

@@ -84,6 +84,17 @@ class JoinBaselineSpec extends SparkSpec {
       JoinBaseline.instances(spark, edges, MotifCatalog.M32, 12, 1.0).count())
   }
 
+  test("δ = Long.MaxValue: baseline count == two-phase count") {
+    val edges = TestGraphs.toDf(spark,
+      TestGraphs.randomEdges(4, 16, 30, 5, seed = 35) ++ planted(MotifCatalog.M32, 500, 9.0))
+    val counts = Seq(MotifCatalog.M32, MotifCatalog.M33).map { motif =>
+      val n = FlowMotifSearch.countInstances(spark, edges, motif, Long.MaxValue, 1.0)
+      assert(JoinBaseline.count(spark, edges, motif, Long.MaxValue, 1.0) == n, motif.name)
+      n
+    }
+    assert(counts.head > 0)
+  }
+
   test("baseline handles timestamp ties without splitting them (bucketed input)") {
     // Two interactions at the same t on the same pair must always travel together.
     val edges = TestGraphs.toDf(spark, Vector(

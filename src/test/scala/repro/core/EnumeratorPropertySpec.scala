@@ -128,6 +128,41 @@ class EnumeratorPropertySpec extends AnyFunSuite {
     }
   }
 
+  /** Count, enumerate, top-k and the DP at `delta` and at `Long.MaxValue`. */
+  private def answers(series: Vector[Vector[TF]], delta: Long, phi: Double) = Seq(
+    LocalEnumerator.count(series, delta, phi),
+    LocalEnumerator.enumerate(series, delta, phi).map(_.key).toSet,
+    TopKEnumerator.topK(series, delta, 3).map(_.flow),
+    MaxFlowDP.maxFlow(series, delta))
+
+  test("δ = Long.MaxValue gives the answers of δ = the series' time span") {
+    for (seed <- 0 until 100) {
+      val rnd = new scala.util.Random(50000 + seed)
+      val series = randomSeries(rnd, rnd.nextInt(4) + 1)
+      val ts = series.flatten.map(_.t)
+      val phi = rnd.nextInt(3).toDouble * 4
+      assert(answers(series, Long.MaxValue, phi) == answers(series, ts.max - ts.min, phi),
+        s"seed=$seed series=$series φ=$phi")
+    }
+  }
+
+  test("timestamps near Long.MaxValue: enumerate, top-k and DP == brute force") {
+    for (seed <- 0 until 100) {
+      val rnd = new scala.util.Random(60000 + seed)
+      // Shift the series so the latest timestamps are Long.MaxValue itself.
+      val series = randomSeries(rnd, rnd.nextInt(3) + 1).map(_.map(x => x.copy(t = Long.MaxValue - 30 + x.t)))
+      val delta = if (rnd.nextBoolean()) rnd.nextInt(16).toLong else Long.MaxValue
+      val phi = rnd.nextInt(3).toDouble * 4
+      val ctx = s"seed=$seed series=$series δ=$delta φ=$phi"
+      val brute = BruteForce.instances(series, delta, phi)
+      assert(LocalEnumerator.enumerate(series, delta, phi).map(_.key).toSet == brute.map(_.key).toSet, ctx)
+      assert(LocalEnumerator.count(series, delta, phi) == brute.size, ctx)
+      val all = BruteForce.instances(series, delta, phi = 0.0).map(_.flow).sorted(Ordering[Double].reverse)
+      assert(TopKEnumerator.topK(series, delta, 3).map(_.flow) == all.take(3), ctx)
+      assert(MaxFlowDP.maxFlow(series, delta) == all.headOption.getOrElse(0.0), ctx)
+    }
+  }
+
   /** Dense series: 50-300 interactions per edge, beyond brute force's reach,
     * where the floating top-k threshold prunes. Enumerating with φ set to the
     * k-th best top-k flow must find exactly the top-k flows at its head.

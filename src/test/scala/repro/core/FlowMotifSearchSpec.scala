@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.stats.Significance
 
 /** End-to-end two-phase search (P1 + P2 on Spark) against full brute force
   * (brute structural matching x brute maximal enumeration) on small graphs,
@@ -166,5 +167,35 @@ class FlowMotifSearchSpec extends SparkSpec {
       assert(FlowMotifSearch.countInstances(spark, df, motif, 12, 2.0) ==
         TestGraphs.bruteForceAll(edges, motif, 12, 2.0).size, motif.name)
     }
+  }
+
+  // ------------------------------------------- input checks, cache hygiene
+
+  for (f <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity)) {
+    test(s"an interaction with flow $f is rejected, with the count and the row") {
+      val edges = TestGraphs.fig2Edges ++ Seq(TestGraphs.Edge(2, 3, 19, f), TestGraphs.Edge(4, 4, 1, f))
+      val e = intercept[IllegalArgumentException] {
+        FlowMotifSearch.countInstances(spark, TestGraphs.toDf(spark, edges), MotifCatalog.M32, 10, 0.0)
+      }
+      assert(e.getMessage.contains("rejected: 2 "), e.getMessage)
+      assert(e.getMessage.contains(s", $f)"), e.getMessage)
+    }
+  }
+
+  test("an interaction with a null src is rejected") {
+    import spark.implicits._
+    val df = Seq((Some(1L), 2L, 3L, 1.0), (None, 2L, 4L, 1.0)).toDF("src", "dst", "t", "f")
+    val e = intercept[IllegalArgumentException](FlowMotifSearch.countInstances(spark, df, MotifCatalog.M32, 10, 0.0))
+    assert(e.getMessage.contains("rejected: 1 ") && e.getMessage.contains("(null, 2, 4, 1.0)"), e.getMessage)
+  }
+
+  test("queries leave no cached data behind") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(5, 60, 80, 9, seed = 72))
+    val cached = spark.sparkContext.getPersistentRDDs.size
+    FlowMotifSearch.countInstances(spark, df, MotifCatalog.M32, 15, 3.0)
+    TopKSearch.topK(spark, df, MotifCatalog.M32, 15, 3)
+    TopKSearch.maxFlowDP(spark, df, MotifCatalog.M32, 15)
+    Significance.study(spark, df, MotifCatalog.M32, 15, 3.0, nRandom = 2, seed = 5)
+    assert(spark.sparkContext.getPersistentRDDs.size == cached)
   }
 }

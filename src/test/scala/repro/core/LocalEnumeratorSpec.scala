@@ -155,6 +155,18 @@ class LocalEnumeratorSpec extends AnyFunSuite {
            keys(LocalEnumerator.enumerate(TestGraphs.fig7Series, 10, 0)))
   }
 
+  test("δ = Long.MaxValue is unbounded, not a wrapped window end") {
+    val series = Vector(Vector(TF(5, 1)), Vector(TF(6, 1)))
+    assert(LocalEnumerator.count(series, Long.MaxValue, 0) == 1)
+    assert(MaxFlowDP.maxFlow(series, Long.MaxValue) == 1.0)
+  }
+
+  test("upperBound at Long.MaxValue is past every element") {
+    val s = Vector(TF(1, 1), TF(Long.MaxValue, 1))
+    assert(Series.upperBound(s, Long.MaxValue) == s.length)
+    assert(Series.upperBound(s, Long.MaxValue - 1) == 1)
+  }
+
   test("negative δ is rejected") {
     intercept[IllegalArgumentException](
       LocalEnumerator.enumerate(Vector(Vector(TF(1, 1))), delta = -1, phi = 0))

@@ -67,7 +67,7 @@ class TimeSeriesGraphSpec extends SparkSpec {
     val edges = TestGraphs.fig2Edges :+ TestGraphs.Edge(Long.MinValue, 3, 7, 2.0) :+
       TestGraphs.Edge(1, Long.MaxValue, 8, 1.0) :+ TestGraphs.Edge(1, 1, 9, 1.0)
     val df = TestGraphs.toDf(spark, edges)
-    val g = TimeSeriesGraph.collectCsr(TimeSeriesGraph.build(df))
+    val g = TimeSeriesGraph.collectCsr(df)
     assert(g.src.toSeq == Seq(Long.MinValue, 1L, 2L, 3L))
     assert(g.offsets.toSeq == Seq(0, 1, 3, 4, 5))
     assert(g.dst.toSeq == Seq(3L, 2L, Long.MaxValue, 3L, 1L))
@@ -77,5 +77,23 @@ class TimeSeriesGraphSpec extends SparkSpec {
     val p = TimeSeriesGraph.collectCsr(TimeSeriesGraph.pairs(df))
     assert(p.dst.toSeq == g.dst.toSeq && p.offsets.toSeq == g.offsets.toSeq)
     assert((0 until p.dst.length).forall(e => p.series(e).isEmpty))
+  }
+
+  test("collectCsr series == build's series, with timestamp ties, under any partitioning") {
+    val rnd = new scala.util.Random(14)
+    // Few timestamps and flows per pair, so ties in t, and in (t, f), are common.
+    val edges = Vector.fill(300)(TestGraphs.Edge(rnd.nextInt(6), rnd.nextInt(6), rnd.nextInt(8),
+      rnd.nextInt(4) + 1.0))
+    val df = TestGraphs.toDf(spark, edges)
+    val expected = TimeSeriesGraph.build(df).collect().map { r =>
+      (r.getLong(0), r.getLong(1)) -> r.getSeq[org.apache.spark.sql.Row](2).map(x => TF(x.getLong(0), x.getDouble(1)))
+    }.toMap
+    for (input <- Seq(df, df.repartition(1), df.repartition(13))) {
+      val g = TimeSeriesGraph.collectCsr(input)
+      val got = (0 until g.numSources).flatMap { r =>
+        (g.offsets(r) until g.offsets(r + 1)).map(e => (g.src(r), g.dst(e)) -> g.series(e))
+      }
+      assert(got.size == expected.size && got.toMap == expected)
+    }
   }
 }
