@@ -15,7 +15,7 @@ class Fig13ScalabilityBench extends BenchBase {
     banner("FIGURE 13 — temporal-prefix scalability (δ, φ = defaults)")
     println(f"${"Dataset"}%-16s${"Motif"}%-10s${"prefix"}%8s${"edges"}%10s${"instances"}%12s${"time(s)"}%10s")
     for ((name, df, delta, phi) <- datasets; m <- motifs) {
-      val horizon = df.agg(max(col("t"))).head.getLong(0)
+      val horizon = df.agg(max(col("t"))).head().getLong(0)
       val rows = for (frac <- Seq(0.25, 0.5, 0.75, 1.0)) yield {
         val prefix = df.where(col("t") <= (horizon * frac).toLong).cache()
         val edges = prefix.count()

@@ -61,7 +61,7 @@ object BruteForce {
       delta: Long,
       phi: Double
   ): Vector[LocalInstance] = {
-    val series = Series.normalize(seriesIn)
+    val series = seriesIn.map(_.sortBy(_.t))
     val m = series.length
     if (m == 0 || series.exists(_.isEmpty)) return Vector.empty
 

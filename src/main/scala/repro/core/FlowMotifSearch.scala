@@ -1,12 +1,12 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** A structural match bundled with its per-motif-edge time series, the unit of
-  * work for phase P2. `vs(i)` is the graph vertex mapped to motif vertex `i`;
-  * `series(i)` is `R(e_{i+1})`.
+/** A structural match bundled with its per-motif-edge time series, as
+  * [[FlowMotifSearch.matchRows]] returns it. `vs(i)` is the graph vertex
+  * mapped to motif vertex `i`; `series(i)` is `R(e_{i+1})`.
   */
 final case class MatchRow(vs: Seq[Long], series: Seq[Seq[TF]])
 
@@ -23,10 +23,12 @@ final case class InstanceRow(
 
 /** The paper's two-phase flow motif search, distributed: the interactions
   * are collected to the driver as a [[Csr]] of `G_T` and broadcast, and
-  * nothing is cached; P1 = [[StructuralMatcher]]'s
-  * DFS over it, which picks up each match's per-edge interaction series as
-  * it walks; P2 = [[LocalEnumerator]] (Algorithm 1) runs per structural match
-  * in the same Spark tasks. Nothing is shuffled before the final aggregate.
+  * nothing is cached; P1 = [[StructuralMatcher]]'s DFS over it; P2 =
+  * [[LocalEnumerator]] (Algorithm 1) runs per structural match in the same
+  * Spark tasks, on the match's series read straight from the CSR, where
+  * [[TimeSeriesGraph.collectCsr]] sorted them. Nothing is shuffled before the
+  * final aggregate. Query parameters are checked on the driver, before any
+  * Spark job.
   */
 object FlowMotifSearch {
 
@@ -39,28 +41,33 @@ object FlowMotifSearch {
     * error, which states the size. The result is lazy, so the broadcast is
     * released by Spark's ContextCleaner once the Dataset is unreachable.
     */
-  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] =
-    rows(spark, broadcastGraph(spark, edges), motif)
-
-  /** Runs `action` on the match rows, then destroys the broadcast `G_T`. */
-  private[core] def withMatchRows[A](spark: SparkSession, edges: DataFrame, motif: Motif)(
-      action: Dataset[MatchRow] => A): A = {
-    val g = broadcastGraph(spark, edges)
-    try action(rows(spark, g, motif)) finally g.destroy()
+  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
+    import spark.implicits._
+    perMatch(spark, broadcastGraph(edges), motif)((vs, series) => Iterator.single(MatchRow(vs, series)))
   }
 
-  private def broadcastGraph(spark: SparkSession, edges: DataFrame): Broadcast[Csr] =
-    spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(edges))
+  /** Runs `action` on the broadcast CSR of `edges`, then destroys it. */
+  private[core] def withGraph[A](edges: DataFrame)(action: Broadcast[Csr] => A): A = {
+    val g = broadcastGraph(edges)
+    try action(g) finally g.destroy()
+  }
 
-  private def rows(spark: SparkSession, g: Broadcast[Csr], motif: Motif): Dataset[MatchRow] = {
-    import spark.implicits._
+  private def broadcastGraph(edges: DataFrame): Broadcast[Csr] =
+    edges.sparkSession.sparkContext.broadcast(TimeSeriesGraph.collectCsr(edges))
+
+  /** Everything `p2(vs, series)` yields over the structural matches of
+    * `motif`: `vs(i)` is the graph vertex mapped to motif vertex `i`,
+    * `series(i)` is `R(e_{i+1})`, read from the CSR as it is laid out.
+    */
+  private[core] def perMatch[T: Encoder](spark: SparkSession, g: Broadcast[Csr], motif: Motif)(
+      p2: (Seq[Long], IndexedSeq[IndexedSeq[TF]]) => IterableOnce[T]): Dataset[T] =
     StructuralMatcher.walk(spark, g, motif) { (vs, es) =>
       val csr = g.value
-      MatchRow(vs.toSeq, es.toSeq.map(csr.series))
+      p2(vs.toSeq, es.toIndexedSeq.map(csr.series))
     }
-  }
 
   /** All maximal instances of `(motif, δ, φ)` in the interaction network.
+    * Lazy, like [[matchRows]].
     *
     * @param edges interaction multigraph: (src, dst, t, f)
     */
@@ -72,10 +79,10 @@ object FlowMotifSearch {
       phi: Double
   ): Dataset[InstanceRow] = {
     import spark.implicits._
-    matchRows(spark, edges, motif).flatMap { mr =>
-      val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
+    require(delta >= 0, s"delta must be non-negative, got $delta")
+    perMatch(spark, broadcastGraph(edges), motif) { (vs, series) =>
       LocalEnumerator.enumerate(series, delta, phi).map { inst =>
-        InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
+        InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
       }
     }
   }
@@ -89,8 +96,9 @@ object FlowMotifSearch {
       phi: Double
   ): Long = {
     import spark.implicits._
-    withMatchRows(spark, edges, motif) { rows =>
-      val counts = rows.map(mr => LocalEnumerator.count(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta, phi))
+    require(delta >= 0, s"delta must be non-negative, got $delta")
+    withGraph(edges) { g =>
+      val counts = perMatch(spark, g, motif)((_, series) => Iterator.single(LocalEnumerator.count(series, delta, phi)))
       counts.toDF("n").agg(coalesce(sum("n"), lit(0L)).as("total")).head().getLong(0)
     }
   }

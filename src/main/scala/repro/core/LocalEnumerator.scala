@@ -58,11 +58,10 @@ object LocalEnumerator {
     * `series(i)` is the interaction series mapped to motif edge label i+1.
     */
   def enumerate(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       phi: Double
   ): Vector[LocalInstance] = {
-    val series = Series.normalize(seriesIn)
     val out = Vector.newBuilder[LocalInstance]
     search(series, delta, new Sink {
       def admits(f: Double): Boolean = f >= phi
@@ -72,9 +71,9 @@ object LocalEnumerator {
   }
 
   /** Count instances without materializing them. */
-  def count(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
+  def count(series: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
     var n = 0L
-    search(Series.normalize(seriesIn), delta, new Sink {
+    search(series, delta, new Sink {
       def admits(f: Double): Boolean = f >= phi
       def emit(starts: Array[Int], ends: Array[Int], f: Double): Unit = n += 1
     })
@@ -89,12 +88,14 @@ object LocalEnumerator {
   ): LocalInstance =
     LocalInstance(Vector.tabulate(series.length)(i => series(i).slice(starts(i), ends(i)).toVector))
 
-  /** Visit every non-skipped window of sorted `series` as (index of its
-    * anchoring `R(e_1)` element, window end). The window end saturates at
-    * `Long.MaxValue`, so a δ of `Long.MaxValue` means "unbounded".
+  /** Visit every non-skipped window of `series` as (index of its anchoring
+    * `R(e_1)` element, window end). The window end saturates at
+    * `Long.MaxValue`, so a δ of `Long.MaxValue` means "unbounded". A negative
+    * δ or an unsorted series is rejected here, for every P2 entry but `dpTable`.
     */
   private[core] def windows(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(visit: (Int, Long) => Unit): Unit = {
     require(delta >= 0, "delta must be non-negative")
+    Series.requireSorted(series)
     if (series.isEmpty || series.exists(_.isEmpty)) return
     val e1 = series.head
     val em = series.last

@@ -17,51 +17,37 @@ package repro.core
   */
 object MaxFlowDP {
 
-  /** The DP matrix for one explicit window, for tests/Table 2 reproduction.
+  /** The DP matrix for one explicit window (Table 2); its last cell is the
+    * window's maximum instance flow. `series` must be sorted by timestamp.
     *
     * @return (timestamps `t_1..t_τ` in the window, matrix `flow(κ-1)(i)`)
     */
   def dpTable(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
-      windowStart: Long,
-      windowEnd: Long
-  ): (Vector[Long], Vector[Vector[Double]]) = {
-    val (ts, table) = sortedTable(Series.normalize(seriesIn), windowStart, windowEnd)
-    (ts.toVector, table.map(_.toVector).toVector)
-  }
-
-  /** Maximum instance flow in one window (0 when the window holds none). */
-  def windowMaxFlow(
       series: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
-  ): Double = sortedMaxFlow(Series.normalize(series), windowStart, windowEnd)
+  ): (Vector[Long], Vector[Vector[Double]]) = {
+    Series.requireSorted(series)
+    val (ts, table) = windowTable(series, windowStart, windowEnd)
+    (ts.toVector, table.map(_.toVector).toVector)
+  }
 
   /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
     * to every window [[LocalEnumerator.windows]] visits — a skipped window's
     * instances are all dominated by extensions found in an earlier window,
     * and extensions only gain flow.
     */
-  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
-    val series = Series.normalize(seriesIn)
+  def maxFlow(series: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
     var best = 0.0
     LocalEnumerator.windows(series, delta) { (a, windowEnd) =>
-      best = math.max(best, sortedMaxFlow(series, series.head(a).t, windowEnd))
+      // The anchoring R(e_1) element is in the window, so the table has cells.
+      best = math.max(best, windowTable(series, series.head(a).t, windowEnd)._2.last.last)
     }
     best
   }
 
-  private def sortedMaxFlow(
-      series: IndexedSeq[IndexedSeq[TF]],
-      windowStart: Long,
-      windowEnd: Long
-  ): Double = {
-    val (ts, table) = sortedTable(series, windowStart, windowEnd)
-    if (ts.isEmpty) 0.0 else table.last.last
-  }
-
-  /** [[dpTable]] over already sorted series. */
-  private def sortedTable(
+  /** [[dpTable]] over series already checked to be sorted. */
+  private def windowTable(
       series: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long

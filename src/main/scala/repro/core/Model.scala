@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 /** One flow interaction `(t, f)` on an edge of the time-series graph `G_T`. */
 final case class TF(t: Long, f: Double)
 
@@ -28,14 +26,16 @@ final case class LocalInstance(sets: Vector[Vector[TF]]) {
 
 /** A structural match of a motif resolved to its per-edge time series:
   * `series(i)` is `R(e_{i+1})`, the interaction series on the graph edge that
-  * motif edge with label i+1 is mapped to, sorted by timestamp.
+  * motif edge with label i+1 is mapped to, sorted by timestamp (by
+  * [[TimeSeriesGraph.collectCsr]]; P2 checks, and does not sort).
   */
 object Series {
-  /** Sort each series by timestamp (stable, so ties keep their input order)
-    * into an array-backed sequence. It does not validate the flows.
+  /** Fails with an `IllegalArgumentException` unless every series is sorted
+    * by timestamp (ties allowed). O(total length); it does not check flows.
     */
-  def normalize(series: IndexedSeq[IndexedSeq[TF]]): IndexedSeq[IndexedSeq[TF]] =
-    series.map(s => ArraySeq.from(s).sortBy(_.t))
+  def requireSorted(series: IndexedSeq[IndexedSeq[TF]]): Unit =
+    for ((s, e) <- series.zipWithIndex; i <- 1 until s.length)
+      require(s(i - 1).t <= s(i).t, s"series $e is not sorted by timestamp: ${s(i - 1)} before ${s(i)}")
 
   /** Index of the first element with `t >= lo` (binary search; series sorted). */
   def lowerBound(s: IndexedSeq[TF], lo: Long): Int = {

@@ -25,33 +25,35 @@ object StructuralMatcher {
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
     *
-    * The pairs are collected to the driver (bounded by
-    * `spark.driver.maxResultSize`) and broadcast; the result is lazy, so the
-    * broadcast is released by Spark's ContextCleaner.
+    * Each `(src, dst)` row is collected (bounded by `spark.driver.maxResultSize`)
+    * as one interaction `(t = 0, f = 1.0)`, so repeated rows give the same
+    * matches, and broadcast; the result is lazy, so the broadcast is released
+    * by Spark's ContextCleaner.
     *
-    * @param pairs distinct `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
+    * @param pairs `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
     val spark = pairs.sparkSession
     import spark.implicits._
-    val g = spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(pairs))
-    walk(spark, g, motif)((vs, _) => vs)
+    val rows = pairs.select(col("src"), col("dst"), lit(0L).as("t"), lit(1.0).as("f"))
+    val g = spark.sparkContext.broadcast(TimeSeriesGraph.collectCsr(rows))
+    walk(spark, g, motif)((vs, _) => Iterator.single(vs))
       .toDF("vs")
       .select(motif.vertexIds.map(i => col("vs")(i).as(vcol(i))): _*)
   }
 
-  /** Every structural match of `motif` in the broadcast graph, as
-    * `out(vs, es)`: `vs(i)` is the graph vertex bound to motif vertex `i`,
-    * `es(j)` the CSR edge motif edge `j` is mapped to. One partition per
-    * slice of start vertices, and no shuffle.
+  /** Everything `out(vs, es)` yields for the structural matches of `motif`:
+    * `vs(i)` is the graph vertex bound to motif vertex `i`, `es(j)` the CSR
+    * edge motif edge `j` is mapped to (fresh arrays per match). One partition
+    * per slice of start vertices, and no shuffle.
     */
   private[core] def walk[T: Encoder](spark: SparkSession, g: Broadcast[Csr], motif: Motif)(
-      out: (Array[Long], Array[Int]) => T): Dataset[T] = {
+      out: (Array[Long], Array[Int]) => IterableOnce[T]): Dataset[T] = {
     import spark.implicits._
     val p = spark.sparkContext.defaultParallelism
     spark.range(0, p, 1, p).as[Long].flatMap { slice =>
       val csr = g.value
-      Iterator.range(slice.toInt, csr.numSources, p).flatMap(r => fromRow(csr, motif, r)).map(out.tupled)
+      Iterator.range(slice.toInt, csr.numSources, p).flatMap(r => fromRow(csr, motif, r)).flatMap(out.tupled)
     }
   }
 

@@ -9,9 +9,9 @@ import org.apache.spark.sql.functions._
   * out-edges are `offsets(r) until offsets(r + 1)`, with destinations `dst`
   * sorted ascending within the row. Edge `e`'s interaction series is
   * `t`/`f` over `seriesOffsets(e) until seriesOffsets(e + 1)`, sorted as
-  * [[TimeSeriesGraph.build]] sorts it; a CSR built from a pairs table has
-  * empty series. [[TimeSeriesGraph.collectCsr]] builds it on the driver
-  * straight from the interaction rows, without `G_T` or a cache.
+  * [[TimeSeriesGraph.build]] sorts it, and never empty.
+  * [[TimeSeriesGraph.collectCsr]] builds it on the driver straight from the
+  * interaction rows, without `G_T` or a cache; P2 reads [[series]] as is.
   */
 final class Csr private[core] (
     val src: Array[Long],
@@ -70,9 +70,8 @@ object TimeSeriesGraph {
     */
   def pairs(edges: DataFrame): DataFrame = build(edges).select(col("src"), col("dst"))
 
-  /** Collects interaction rows `(src, dst, t, f)`, or a distinct-pairs table
-    * `(src, dst)` whose edges get empty series, to the driver as a [[Csr]].
-    * Self-loops are dropped, and the rows are sorted once, by
+  /** Collects interaction rows `(src, dst, t, f)` to the driver as a
+    * [[Csr]]. Self-loops are dropped, and the rows are sorted once, by
     * `(src, dst, t, f)`: the order [[build]]'s `sort_array` gives a series.
     *
     * This is where interactions enter the search, so every row is checked
@@ -83,27 +82,26 @@ object TimeSeriesGraph {
     * which states the size.
     */
   def collectCsr(rows: DataFrame): Csr = {
-    val withSeries = rows.columns.contains("t")
-    val names = if (withSeries) Seq("src", "dst", "t", "f") else Seq("src", "dst")
+    val names = Seq("src", "dst", "t", "f")
     val types = Seq("long", "long", "long", "double")
     // One task per core rather than one per partition of the input.
     val in = rows.select(names.zip(types).map { case (n, ty) => col(n).cast(ty) }: _*)
       .coalesce(rows.sparkSession.sparkContext.defaultParallelism).collect()
-    val bad = in.filter(r => r.anyNull || withSeries && !(r.getDouble(3) > 0 && r.getDouble(3) < Double.PositiveInfinity))
+    val bad = in.filter(r => r.anyNull || !(r.getDouble(3) > 0 && r.getDouble(3) < Double.PositiveInfinity))
     require(bad.isEmpty, s"input rows rejected: ${bad.length} (a null column, or a flow that is not " +
       s"finite and positive), e.g. (${names.mkString(", ")}) = ${bad.head.toSeq.mkString("(", ", ", ")")}")
     val kept = in.filter(r => r.getLong(0) != r.getLong(1))
     val src = kept.map(_.getLong(0))
     val dst = kept.map(_.getLong(1))
-    val t = if (withSeries) kept.map(_.getLong(2)) else Array.emptyLongArray
-    val f = if (withSeries) kept.map(_.getDouble(3)) else Array.emptyDoubleArray
+    val t = kept.map(_.getLong(2))
+    val f = kept.map(_.getDouble(3))
     // Sort row indices rather than boxed rows; `sorted` boxes each index once.
     val order = Array.range(0, src.length).sorted(new Ordering[Int] {
       def compare(a: Int, b: Int): Int = {
         var c = java.lang.Long.compare(src(a), src(b))
         if (c == 0) c = java.lang.Long.compare(dst(a), dst(b))
-        if (c == 0 && withSeries) c = java.lang.Long.compare(t(a), t(b))
-        if (c == 0 && withSeries) c = java.lang.Double.compare(f(a), f(b))
+        if (c == 0) c = java.lang.Long.compare(t(a), t(b))
+        if (c == 0) c = java.lang.Double.compare(f(a), f(b))
         c
       }
     })
@@ -120,13 +118,13 @@ object TimeSeriesGraph {
       if (newRow || dst(i) != dst(p)) {
         if (newRow) { rowSrc += src(i); offsets += edges }
         edgeDst += dst(i)
-        seriesOffsets += (if (withSeries) k else 0)
+        seriesOffsets += k
         edges += 1
       }
     }
     offsets += edges
-    seriesOffsets += (if (withSeries) order.length else 0)
+    seriesOffsets += order.length
     new Csr(rowSrc.result(), offsets.result(), edgeDst.result(), seriesOffsets.result(),
-      if (withSeries) order.map(t(_)) else t, if (withSeries) order.map(f(_)) else f)
+      order.map(t(_)), order.map(f(_)))
   }
 }

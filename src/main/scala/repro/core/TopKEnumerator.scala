@@ -14,12 +14,11 @@ object TopKEnumerator {
 
   /** The up-to-k highest-flow maximal instances, best first. */
   def topK(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       k: Int
   ): Vector[LocalInstance] = {
     require(k >= 1, "k must be >= 1")
-    val series = Series.normalize(seriesIn)
     // Min-heap on instance flow: head is the k-th best so far.
     type Entry = (Double, LocalInstance)
     val heap = mutable.PriorityQueue.empty(Ordering.by[Entry, Double](_._1).reverse)

@@ -22,18 +22,12 @@ object TopKSearch {
       k: Int
   ): Seq[InstanceRow] = {
     import spark.implicits._
-    FlowMotifSearch.withMatchRows(spark, edges, motif) { rows =>
-      rows
-        .flatMap { mr =>
-          val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
-          TopKEnumerator.topK(series, delta, k).map { inst =>
-            InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
-          }
-        }
-        .orderBy($"flow".desc)
-        .limit(k)
-        .collect()
-        .toSeq
+    require(delta >= 0, s"delta must be non-negative, got $delta")
+    require(k >= 1, s"k must be >= 1, got $k")
+    FlowMotifSearch.withGraph(edges) { g =>
+      FlowMotifSearch.perMatch(spark, g, motif) { (vs, series) =>
+        TopKEnumerator.topK(series, delta, k).map(i => InstanceRow(vs, i.flow, i.tStart, i.tEnd, i.sets))
+      }.orderBy($"flow".desc).limit(k).collect().toSeq
     }
   }
 
@@ -45,8 +39,9 @@ object TopKSearch {
       delta: Long
   ): Double = {
     import spark.implicits._
-    FlowMotifSearch.withMatchRows(spark, edges, motif) { rows =>
-      val flows = rows.map(mr => MaxFlowDP.maxFlow(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta))
+    require(delta >= 0, s"delta must be non-negative, got $delta")
+    FlowMotifSearch.withGraph(edges) { g =>
+      val flows = FlowMotifSearch.perMatch(spark, g, motif)((_, series) => Iterator.single(MaxFlowDP.maxFlow(series, delta)))
       flows.toDF("mf").agg(coalesce(max("mf"), lit(0.0)).as("best")).head().getDouble(0)
     }
   }

@@ -12,7 +12,7 @@ object NetworkStats {
     * read from [[statsDf]] in one query; the average flow is rounded to 6 decimals.
     */
   def stats(edges: DataFrame): Stats = {
-    val row = statsDf(edges).head
+    val row = statsDf(edges).head()
     Stats(row.getLong(0), row.getLong(1), row.getLong(2), row.getDouble(3))
   }
 

@@ -171,6 +171,40 @@ class FlowMotifSearchSpec extends SparkSpec {
 
   // ------------------------------------------- input checks, cache hygiene
 
+  /** `query` fails with an `IllegalArgumentException` naming `param`, on an
+    * empty graph and on one with matches, before any Spark job starts.
+    */
+  private def assertRejected(param: String)(query: org.apache.spark.sql.DataFrame => Any): Unit = {
+    val sc = spark.sparkContext
+    val empty = TestGraphs.toDf(spark, Vector.empty[TestGraphs.Edge])
+    val withMatches = TestGraphs.toDf(spark, TestGraphs.fig2Edges)
+    for ((label, df) <- Seq("empty graph" -> empty, "graph with matches" -> withMatches)) {
+      val group = s"rejected-$param-$label"
+      sc.setJobGroup(group, group)
+      try {
+        val e = intercept[IllegalArgumentException](query(df))
+        assert(e.getMessage.contains(param), s"$label: ${e.getMessage}")
+      } finally sc.clearJobGroup()
+      assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, s"$label: a Spark job ran")
+    }
+  }
+
+  test("a negative δ is rejected on the driver by every query") {
+    val m = MotifCatalog.M32
+    assertRejected("delta")(FlowMotifSearch.countInstances(spark, _, m, -1, 0.0))
+    assertRejected("delta")(FlowMotifSearch.instances(spark, _, m, -1, 0.0))
+    assertRejected("delta")(TopKSearch.topK(spark, _, m, -1, 3))
+    assertRejected("delta")(TopKSearch.maxFlowDP(spark, _, m, -1))
+  }
+
+  test("k < 1 is rejected on the driver by topK") {
+    for (k <- Seq(0, -1)) assertRejected("k")(TopKSearch.topK(spark, _, MotifCatalog.M32, 10, k))
+  }
+
+  test("nRandom < 1 is rejected on the driver by the significance study") {
+    for (n <- Seq(0, -1)) assertRejected("nRandom")(Significance.study(spark, _, MotifCatalog.M32, 10, 0.0, n))
+  }
+
   for (f <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity)) {
     test(s"an interaction with flow $f is rejected, with the count and the row") {
       val edges = TestGraphs.fig2Edges ++ Seq(TestGraphs.Edge(2, 3, 19, f), TestGraphs.Edge(4, 4, 1, f))

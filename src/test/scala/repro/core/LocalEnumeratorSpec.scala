@@ -145,14 +145,21 @@ class LocalEnumeratorSpec extends AnyFunSuite {
     }
   }
 
-  test("unsorted input series are normalized before enumeration") {
-    val shuffled = Vector(
-      Vector(TF(15, 3), TF(10, 5), TF(13, 2)),
-      Vector(TF(16, 3), TF(9, 4), TF(11, 3)),
-      Vector(TF(19, 6), TF(14, 4))
-    )
-    assert(keys(LocalEnumerator.enumerate(shuffled, 10, 0)) ==
-           keys(LocalEnumerator.enumerate(TestGraphs.fig7Series, 10, 0)))
+  test("unsorted input is rejected by every P2 entry") {
+    // Figure 7's series with one element of R(e_3) out of order.
+    val unsorted = TestGraphs.fig7Series.updated(2, Vector(TF(19, 6), TF(14, 4)))
+    val entries: Seq[(String, () => Any)] = Seq(
+      "enumerate" -> (() => LocalEnumerator.enumerate(unsorted, 10, 0)),
+      "count" -> (() => LocalEnumerator.count(unsorted, 10, 0)),
+      "topK" -> (() => TopKEnumerator.topK(unsorted, 10, 1)),
+      "maxFlow" -> (() => MaxFlowDP.maxFlow(unsorted, 10)),
+      "dpTable" -> (() => MaxFlowDP.dpTable(unsorted, 10, 20)))
+    for ((name, entry) <- entries) {
+      val e = intercept[IllegalArgumentException](entry())
+      assert(e.getMessage.contains("series 2 is not sorted"), s"$name: ${e.getMessage}")
+    }
+    // Equal timestamps count as sorted, whatever their flows.
+    assert(LocalEnumerator.count(Vector(Vector(TF(3, 2), TF(3, 1)), Vector(TF(4, 1))), 10, 0) == 1)
   }
 
   test("δ = Long.MaxValue is unbounded, not a wrapped window end") {

@@ -13,10 +13,13 @@ class StructuralMatcherSpec extends SparkSpec {
     TimeSeriesGraph.pairs(TestGraphs.toDf(spark, edges))
 
   private def collectMatches(edges: Seq[TestGraphs.Edge], motif: Motif): Set[Vector[Long]] =
-    StructuralMatcher.matches(pairsDf(edges), motif)
+    matchList(pairsDf(edges), motif).toSet
+
+  private def matchList(pairs: org.apache.spark.sql.DataFrame, motif: Motif): Seq[Vector[Long]] =
+    StructuralMatcher.matches(pairs, motif)
       .collect()
       .map(r => (0 until motif.numVertices).map(r.getLong).toVector)
-      .toSet
+      .toSeq
 
   // ------------------------------------------------ Figure 5/6 style fixtures
 
@@ -79,7 +82,16 @@ class StructuralMatcherSpec extends SparkSpec {
       val edges = TestGraphs.randomEdges(nNodes = 7, nEdges = 40, horizon = 50, maxFlow = 5,
         seed = 100 + motif.m)
       val pairs = edges.map(e => (e.src, e.dst)).toSet
-      assert(collectMatches(edges, motif) == BruteForce.structuralMatches(pairs, motif))
+      assert(edges.size > pairs.size, "the fixture should repeat pairs")
+      val raw = TestGraphs.toDf(spark, edges)
+      // Each input row is one interaction of the CSR, so repeated rows and
+      // the raw interactions give the matches of the distinct pairs.
+      for ((label, input) <- Seq("distinct pairs" -> TimeSeriesGraph.pairs(raw),
+                                 "repeated rows" -> raw.select("src", "dst"), "raw interactions" -> raw)) {
+        val got = matchList(input, motif)
+        assert(got.size == got.distinct.size, s"$label: duplicate matches")
+        assert(got.toSet == BruteForce.structuralMatches(pairs, motif), label)
+      }
     }
   }
 

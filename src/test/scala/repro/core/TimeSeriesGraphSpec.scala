@@ -19,7 +19,7 @@ class TimeSeriesGraphSpec extends SparkSpec {
   test("series are sorted by timestamp even when input is shuffled") {
     val shuffled = TestGraphs.toDf(spark, new scala.util.Random(1).shuffle(TestGraphs.fig2Edges))
     val row = TimeSeriesGraph.build(shuffled)
-      .where(col("src") === 1 && col("dst") === 2).head
+      .where(col("src") === 1 && col("dst") === 2).head()
     val series = row.getSeq[org.apache.spark.sql.Row](2).map(_.getLong(0))
     assert(series == Seq(13L, 15L))
   }
@@ -74,9 +74,10 @@ class TimeSeriesGraphSpec extends SparkSpec {
     assert(g.row(Long.MaxValue) == -1 && g.row(Long.MinValue) == 0)
     assert(g.edge(g.row(1), 2) == 1 && g.edge(g.row(1), 3) == -1)
     assert(g.series(1) == Seq(TF(13, 5.0), TF(15, 7.0)))
-    val p = TimeSeriesGraph.collectCsr(TimeSeriesGraph.pairs(df))
-    assert(p.dst.toSeq == g.dst.toSeq && p.offsets.toSeq == g.offsets.toSeq)
-    assert((0 until p.dst.length).forall(e => p.series(e).isEmpty))
+    // The distinct pairs, one interaction each, give the same layout.
+    val p = TimeSeriesGraph.collectCsr(TimeSeriesGraph.pairs(df).select(col("src"), col("dst"),
+      lit(0L).as("t"), lit(1.0).as("f")))
+    assert(p.src.toSeq == g.src.toSeq && p.dst.toSeq == g.dst.toSeq && p.offsets.toSeq == g.offsets.toSeq)
   }
 
   test("collectCsr series == build's series, with timestamp ties, under any partitioning") {

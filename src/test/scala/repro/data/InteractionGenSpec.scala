@@ -69,18 +69,18 @@ class InteractionGenSpec extends SparkSpec {
   }
 
   test("passenger-like uses exactly the 289 taxi zones as the node universe") {
-    val mx = pax.agg(max(greatest(col("src"), col("dst")))).head.getLong(0)
+    val mx = pax.agg(max(greatest(col("src"), col("dst")))).head().getLong(0)
     assert(mx < 289)
   }
 
   test("passenger-like flows are small integers (passenger counts)") {
     val distinctF = pax.select(col("f")).distinct().collect().map(_.getDouble(0))
     assert(distinctF.forall(f => f == math.rint(f)))
-    assert(pax.agg(avg(col("f"))).head.getDouble(0) < 4.0)
+    assert(pax.agg(avg(col("f"))).head().getDouble(0) < 4.0)
   }
 
   test("bitcoin-like average flow is in the paper's ballpark (≈4.8)") {
-    val avgF = btc.agg(avg(col("f"))).head.getDouble(0)
+    val avgF = btc.agg(avg(col("f"))).head().getDouble(0)
     assert(avgF > 2.0 && avgF < 9.0, s"avg flow $avgF")
   }
 
